@@ -80,7 +80,7 @@ def main() -> None:
     stats = server.stats
     print(f"\nServer: {stats.frames_decoded} frames in {stats.sweeps} "
           f"lockstep sweeps (mean occupancy {stats.mean_occupancy:.1f} "
-          f"sessions), aggregate {stats.aggregate_frames_per_second:.0f} "
+          f"sessions), {stats.busy_frames_per_second:.0f} "
           f"frames/s of engine busy time")
     print("Streaming sessions decode word-identically to offline batches "
           "-- continuous batching is free accuracy-wise.")

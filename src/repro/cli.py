@@ -323,7 +323,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
         stats = server.stats
         print(f"streaming: {stats.sweeps} sweeps, mean occupancy "
               f"{stats.mean_occupancy:.1f} sessions/sweep, "
-              f"{stats.aggregate_frames_per_second:.0f} frames/s of "
+              f"{stats.busy_frames_per_second:.0f} frames/s of "
               f"engine busy time")
     print(f"mean WER {total / len(task.utterances):.3f}")
     return 0
@@ -484,8 +484,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(f"served {stats.sessions_finalized} sessions / "
           f"{stats.frames_decoded} frames in {stats.sweeps} sweeps "
           f"(mean occupancy {stats.mean_occupancy:.1f}, "
-          f"max {stats.max_occupancy}); aggregate "
-          f"{stats.aggregate_frames_per_second:.0f} frames/s")
+          f"max {stats.max_occupancy}); "
+          f"{stats.busy_frames_per_second:.0f} frames/s of engine busy time")
     peak_trace = max(
         (r.stats.trace_peak_bytes for r in records if r.error is None),
         default=0,

@@ -1,9 +1,10 @@
 """Kernel backend dispatch: one search recurrence, pluggable array engines.
 
 The hot prune -> expand -> merge -> closure frame sweep of
-:class:`repro.decoder.kernel.SearchKernel` bottoms out in a handful of
-pure array operations -- the CSR arc gather, the fused gather+score
-expansion and the segment-best destination merge.  This package extracts
+:class:`repro.decoder.kernel.SearchKernel` -- one recurrence for one
+frontier or many -- bottoms out in a handful of pure array operations:
+the CSR arc gather, the fused gather+score expansion and the
+segment-best destination merge.  This package extracts
 those operations behind the :class:`KernelBackend` protocol so a
 compiled implementation can replace them without forking the recurrence:
 all pruning strategy state, merge policy, trace bookkeeping, counters
@@ -66,7 +67,9 @@ class KernelBackend:
 
     ``first[i]`` / ``counts[i]`` always describe state ``i``'s contiguous
     CSR arc block in the :class:`~repro.wfst.layout.FlatLayout` arrays
-    (a contiguity the layout guarantees).
+    (a contiguity the layout guarantees).  The kernel has one frame
+    recurrence for any number of frontiers, so :meth:`expand_fused` is
+    the one non-epsilon expansion (a lone frontier is a one-row stack).
     """
 
     name: str = "abstract"
@@ -85,24 +88,6 @@ class KernelBackend:
         Returns ``(unique_keys_sorted, winner_positions)``; ties keep
         the earliest candidate in input order (first-wins, mirroring the
         reference discipline's relaxation).  ``keys`` must be non-empty.
-        """
-        raise NotImplementedError
-
-    def expand_frame(
-        self,
-        first: np.ndarray,
-        counts: np.ndarray,
-        scores: np.ndarray,
-        arc_dest: np.ndarray,
-        arc_weight: np.ndarray,
-        arc_ilabel: np.ndarray,
-        frame_scores: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Fused gather + non-epsilon score accumulation for one frontier.
-
-        Returns ``(arc_idx, src, dest, cand_scores)`` where
-        ``cand_scores[k] = (scores[src[k]] + arc_weight[arc_idx[k]])
-        + frame_scores[arc_ilabel[arc_idx[k]]]``.
         """
         raise NotImplementedError
 

@@ -50,29 +50,6 @@ def _gather(first, counts, offsets, total):
 
 
 @njit(parallel=True, nogil=True, cache=True)
-def _expand_frame(
-    first, counts, offsets, total,
-    scores, arc_dest, arc_weight, arc_ilabel, frame_scores,
-):
-    arc_idx = np.empty(total, dtype=np.int64)
-    src = np.empty(total, dtype=np.int64)
-    dest = np.empty(total, dtype=np.int64)
-    cand = np.empty(total, dtype=np.float64)
-    for i in prange(first.shape[0]):
-        base = offsets[i]
-        f = first[i]
-        s = scores[i]
-        for k in range(counts[i]):
-            a = f + k
-            row = base + k
-            arc_idx[row] = a
-            src[row] = i
-            dest[row] = arc_dest[a]
-            cand[row] = (s + arc_weight[a]) + frame_scores[arc_ilabel[a]]
-    return arc_idx, src, dest, cand
-
-
-@njit(parallel=True, nogil=True, cache=True)
 def _expand_closure(
     first, counts, offsets, total,
     scores, arc_dest, arc_weight,
@@ -201,26 +178,6 @@ class NumbaBackend(KernelBackend):
             np.ascontiguousarray(scores[order]),
         )
         return uniq, order[win]
-
-    def expand_frame(
-        self,
-        first: np.ndarray,
-        counts: np.ndarray,
-        scores: np.ndarray,
-        arc_dest: np.ndarray,
-        arc_weight: np.ndarray,
-        arc_ilabel: np.ndarray,
-        frame_scores: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        offsets, total = _offsets(counts)
-        if total == 0:
-            return _EMPTY_I64, _EMPTY_I64, _EMPTY_I64, _EMPTY_F64
-        return _expand_frame(
-            np.ascontiguousarray(first), np.ascontiguousarray(counts),
-            offsets, total,
-            np.ascontiguousarray(scores), arc_dest, arc_weight, arc_ilabel,
-            np.ascontiguousarray(frame_scores),
-        )
 
     def expand_closure(
         self,

@@ -69,27 +69,6 @@ class NumpyBackend(KernelBackend):
     ) -> Tuple[np.ndarray, np.ndarray]:
         return segment_best(keys, scores)
 
-    def expand_frame(
-        self,
-        first: np.ndarray,
-        counts: np.ndarray,
-        scores: np.ndarray,
-        arc_dest: np.ndarray,
-        arc_weight: np.ndarray,
-        arc_ilabel: np.ndarray,
-        frame_scores: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        arc_idx, src = csr_gather(first, counts)
-        dest = arc_dest[arc_idx]
-        if arc_idx.size == 0:
-            return arc_idx, src, dest, np.empty(0, dtype=np.float64)
-        cand = (
-            scores[src]
-            + arc_weight[arc_idx]
-            + frame_scores[arc_ilabel[arc_idx]]
-        )
-        return arc_idx, src, dest, cand
-
     def expand_closure(
         self,
         first: np.ndarray,

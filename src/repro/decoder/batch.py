@@ -28,7 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
 
 from repro.common.errors import DecodeError
 from repro.acoustic.scorer import AcousticScores
-from repro.decoder.kernel import DecoderConfig, SearchKernel
+from repro.decoder.kernel import DecoderConfig, KernelObserver, SearchKernel
 from repro.decoder.result import DecodeResult
 from repro.wfst.layout import CompiledWfst, FlatLayout
 
@@ -67,16 +67,20 @@ class BatchDecoder:
         return self.kernel.backend_name
 
     # ------------------------------------------------------------------
-    def open_session(self) -> "DecodeSession":
+    def open_session(
+        self, observers: Sequence[KernelObserver] = ()
+    ) -> "DecodeSession":
         """Open a resumable streaming decode session on this engine.
 
         The session accepts acoustic-score chunks of any size and can
         report partial hypotheses between chunks; see
-        :class:`repro.decoder.session.DecodeSession`.
+        :class:`repro.decoder.session.DecodeSession`.  ``observers``
+        receive the session's kernel events, in the fused multi-session
+        sweep as when it advances alone.
         """
         from repro.decoder.session import DecodeSession
 
-        return DecodeSession(self)
+        return DecodeSession(self, observers)
 
     def decode(self, scores: AcousticScores) -> DecodeResult:
         """Decode one utterance; returns the best word sequence."""

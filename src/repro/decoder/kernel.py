@@ -12,14 +12,16 @@ This module is the single home of that recurrence.  It provides two
 *disciplines* over one shared configuration, pruning-strategy layer and
 observer protocol:
 
-* :class:`SearchKernel` -- the vectorized discipline.  One
-  :meth:`~SearchKernel.step_frame` advances a :class:`Frontier` by one
-  frame as flat numpy sweeps over the
+* :class:`SearchKernel` -- the vectorized discipline.
+  :meth:`~SearchKernel.advance` moves any number of :class:`Frontier`
+  objects -- one utterance or a continuous-batching fleet -- by one
+  frame in a single combined sweep over the
   :class:`~repro.wfst.layout.FlatLayout` Structure-of-Arrays graph view
   (bulk CSR arc gather, fused score accumulation, segment-max merge,
-  round-based epsilon closure).  :meth:`~SearchKernel.fused_step`
-  advances many frontiers in a single combined sweep (the continuous
-  batching fast path).  ``BatchDecoder``, ``DecodeSession``,
+  round-based epsilon closure), keyed so frontiers never mix.  There is
+  no separate single-frontier path: a lone frontier is a fleet of one,
+  and each frontier's result and event stream are identical whatever
+  fleet it is swept in.  ``BatchDecoder``, ``DecodeSession``,
   ``LatticeDecoder`` and ``GpuViterbiDecoder`` all run on it.
 
 * :class:`ReferenceKernel` -- the scalar oracle discipline.  A dict-based
@@ -76,8 +78,10 @@ Engines that need more than the decode result subscribe a
 emits :class:`PruneEvent` / :class:`ExpandEvent` / :class:`ClosureEvent`
 payloads in issue order.  The lattice decoder captures its arc DAG, the
 GPU model derives kernel-launch/atomic work counts, and the accelerator
-trace recorder captures the full hardware event stream this way.  Event
-construction is skipped entirely when no observers are attached.
+trace recorder captures the full hardware event stream this way.  In the
+vectorized discipline each observed frontier's events are sliced out of
+the shared sweep arrays with row indices rebased to that frontier;
+event construction is skipped entirely for frontiers without observers.
 
 Emptied-beam policy (shared by every engine)
 --------------------------------------------
@@ -104,7 +108,6 @@ from repro.common.errors import ConfigError, DecodeError
 from repro.common.logmath import LOG_ZERO
 from repro.acoustic.scorer import AcousticScores
 from repro.decoder.backends import KERNEL_BACKENDS, KernelBackend, resolve_backend
-from repro.decoder.backends.numpy_backend import csr_gather, segment_best
 from repro.decoder.result import DecodeResult, SearchStats
 # The shared backpointer trace of the vectorized discipline lives in
 # repro.decoder.traceback (windowed compaction + committed-prefix
@@ -396,16 +399,6 @@ class KernelObserver:
 
 
 # ----------------------------------------------------------------------
-# Array helpers shared by the vectorized kernel and the GPU model.  The
-# implementations moved to repro.decoder.backends.numpy_backend (they
-# define the bit-level contract every backend reproduces); these aliases
-# keep the historical import path working.
-# ----------------------------------------------------------------------
-_csr_gather = csr_gather
-_segment_best = segment_best
-
-
-# ----------------------------------------------------------------------
 # Frontier: one utterance's live search state
 # ----------------------------------------------------------------------
 @dataclass
@@ -415,8 +408,8 @@ class Frontier:
     ``states`` is kept sorted ascending; ``scores`` / ``bps`` are parallel
     to it.  The invariant makes the epsilon-closure merges a sorted-array
     merge instead of a hash probe.  ``num_frames`` counts the frames
-    consumed so far (sessions grow it one push at a time).  Each frontier
-    owns its pruning-strategy state and observer list.
+    consumed so far (:meth:`SearchKernel.advance` grows it).  Each
+    frontier owns its pruning-strategy state and observer list.
     """
 
     states: np.ndarray
@@ -429,10 +422,58 @@ class Frontier:
     observers: Tuple[KernelObserver, ...] = ()
 
 
-def _set_empty(frontier: Frontier) -> None:
-    frontier.states = np.empty(0, dtype=np.int64)
-    frontier.scores = np.empty(0, dtype=np.float64)
-    frontier.bps = np.empty(0, dtype=np.int64)
+# Row-to-frontier labels ("seg" arrays) of the fused sweep.  A sweep over
+# one frontier carries ``None`` instead of an all-zero label array, which
+# keeps a lone frontier as cheap to sweep as a dedicated path would.
+Seg = Optional[np.ndarray]
+
+
+def _take(seg: Seg, index: np.ndarray) -> Seg:
+    """Labels of the selected rows."""
+    return None if seg is None else seg[index]
+
+
+def _blocks(seg: Seg, n: int, size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-frontier ``(row counts, end rows)`` of a frontier-major array."""
+    if seg is None:
+        counts = np.array([size], dtype=np.int64)
+        return counts, counts
+    counts = np.bincount(seg, minlength=n)
+    return counts, counts.cumsum()
+
+
+def _concat(arrays: List[np.ndarray]) -> np.ndarray:
+    """Concatenation that hands a lone array back without copying."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _split(array: np.ndarray, ends: np.ndarray) -> List[np.ndarray]:
+    """Split ``array`` into the segments ending at each of ``ends``."""
+    if len(ends) == 1:
+        return [array]
+    return np.split(array, ends[:-1])
+
+
+def _sorted_insert(
+    positions: np.ndarray, *pairs: Tuple[np.ndarray, np.ndarray]
+) -> List[np.ndarray]:
+    """``np.insert(array, positions, values)`` for each ``(array, values)``.
+
+    ``positions`` must be ascending.  The merged layout is computed once
+    and shared by every array, which is what makes this several times
+    cheaper than one ``np.insert`` per array.
+    """
+    total = pairs[0][0].size + positions.size
+    new_at = positions + np.arange(positions.size, dtype=np.int64)
+    old_at = np.ones(total, dtype=bool)
+    old_at[new_at] = False
+    merged = []
+    for array, values in pairs:
+        out = np.empty(total, dtype=array.dtype)
+        out[old_at] = array
+        out[new_at] = values
+        merged.append(out)
+    return merged
 
 
 # ----------------------------------------------------------------------
@@ -486,197 +527,8 @@ class SearchKernel:
             pruner=self.config.make_pruner(),
             observers=tuple(observers),
         )
-        self._closure(frontier, pass_index=0)
+        self._fused_closure([frontier], [0])
         return frontier
-
-    def step_frame(
-        self, frontier: Frontier, frame: int, frame_scores: np.ndarray
-    ) -> None:
-        """One frame of the recurrence: prune, expand, merge, closure."""
-        flat = self.flat
-        stats = frontier.stats
-        observers = frontier.observers
-        if frontier.states.size == 0:
-            raise DecodeError(f"beam emptied the search at frame {frame}")
-
-        # Beam pruning: one mask against the strategy's threshold.
-        pruner = frontier.pruner
-        threshold = pruner.threshold(float(frontier.scores.max()))
-        keep = frontier.scores >= threshold
-        n_keep = int(np.count_nonzero(keep))
-        beam_pruned = frontier.states.size - n_keep
-        stats.tokens_pruned += beam_pruned
-        states = frontier.states[keep]
-        scores = frontier.scores[keep]
-        bps = frontier.bps[keep]
-
-        # Histogram pruning: stable top-cap by score.
-        cap = pruner.cap()
-        cap_pruned = 0
-        order = None
-        if cap and n_keep > cap:
-            order = np.argsort(-scores, kind="stable")[:cap]
-            order.sort()
-            cap_pruned = n_keep - cap
-            stats.tokens_pruned += cap_pruned
-            states = states[order]
-            scores = scores[order]
-            bps = bps[order]
-        pruner.observe(n_keep)
-
-        if observers:
-            read_idx = np.nonzero(keep)[0]
-            if order is not None:
-                read_idx = read_idx[order]
-            event = PruneEvent(
-                frame=frame,
-                walk_states=frontier.states,
-                survivor_states=states,
-                survivor_read_idx=read_idx,
-                threshold=threshold,
-                beam_pruned=beam_pruned,
-                cap_pruned=cap_pruned,
-            )
-            for observer in observers:
-                observer.on_prune(event)
-
-        stats.active_tokens_per_frame.append(states.size)
-        stats.states_expanded += states.size
-        stats.visited_state_degrees.extend(flat.out_degree[states].tolist())
-
-        # Fused gather + score accumulation over every surviving state's
-        # non-epsilon arc block, on the active backend.
-        first = flat.first_arc[states]
-        n_arcs = flat.num_non_eps[states]
-        arc_idx, src, dest, new_scores = self.backend.expand_frame(
-            first, n_arcs, scores,
-            flat.arc_dest, flat.arc_weight64, flat.arc_ilabel, frame_scores,
-        )
-        stats.arcs_processed += arc_idx.size
-
-        if observers:
-            event = ExpandEvent(
-                frame=frame,
-                frame_scores=frame_scores,
-                states=states,
-                first=first,
-                n_arcs=n_arcs,
-                read_idx=read_idx,
-                arc_idx=arc_idx,
-                arc_dest=dest,
-                arc_src=src,
-                arc_scores=new_scores,
-            )
-            for observer in observers:
-                observer.on_expand(event)
-
-        if arc_idx.size == 0:
-            # No outgoing non-epsilon arcs anywhere: the next frame starts
-            # with an empty frontier (and raises, per the emptied-beam
-            # policy in the module docstring).
-            _set_empty(frontier)
-            return
-
-        # Segment-max merge: best incoming arc per destination token.
-        next_states, winners = self.backend.segment_best(dest, new_scores)
-        trace_idx = frontier.trace.append_bulk(
-            bps[src[winners]], flat.arc_olabel[arc_idx[winners]]
-        )
-        stats.tokens_created += next_states.size
-
-        frontier.states = next_states
-        frontier.scores = new_scores[winners]
-        frontier.bps = trace_idx
-        self._closure(frontier, pass_index=frame + 1)
-
-    def _closure(self, frontier: Frontier, pass_index: int) -> None:
-        """Relax epsilon arcs to fixpoint, a whole frontier per round."""
-        flat = self.flat
-        stats = frontier.stats
-        observers = frontier.observers
-        if frontier.states.size == 0:
-            return
-        # (states, scores, bps) of tokens whose score improved last round.
-        active = (frontier.states, frontier.scores, frontier.bps)
-        round_index = 0
-        while active[0].size:
-            states, scores, bps = active
-            eps_first = flat.eps_first[states]
-            n_eps = flat.num_eps[states]
-            arc_idx, src, dest, cand_scores = self.backend.expand_closure(
-                eps_first, n_eps, scores, flat.arc_dest, flat.arc_weight64
-            )
-            if arc_idx.size == 0:
-                break
-            stats.epsilon_arcs_processed += arc_idx.size
-
-            if observers:
-                # Per-arc improvement vs the pre-round token scores (the
-                # GPU model's atomic-update semantics).
-                pos = np.searchsorted(frontier.states, dest)
-                pos_c = np.minimum(pos, frontier.states.size - 1)
-                exists = (pos < frontier.states.size) & (
-                    frontier.states[pos_c] == dest
-                )
-                existing = np.where(
-                    exists, frontier.scores[pos_c], np.float64(LOG_ZERO)
-                )
-                event = ClosureEvent(
-                    pass_index=pass_index,
-                    round_index=round_index,
-                    states=states,
-                    first=eps_first,
-                    n_arcs=n_eps,
-                    src=None,
-                    arc_idx=arc_idx,
-                    arc_dest=dest,
-                    arc_src=src,
-                    arc_scores=cand_scores,
-                    improved=cand_scores > existing,
-                )
-                for observer in observers:
-                    observer.on_closure(event)
-            round_index += 1
-
-            uniq, winners = self.backend.segment_best(dest, cand_scores)
-            cand_scores = cand_scores[winners]
-            cand_prev = bps[src[winners]]
-            cand_word = flat.arc_olabel[arc_idx[winners]]
-
-            # Merge candidates into the sorted token arrays: a candidate
-            # wins if its state is new or strictly better (ties keep the
-            # existing token, like the reference discipline).
-            pos = np.searchsorted(frontier.states, uniq)
-            pos_clipped = np.minimum(pos, frontier.states.size - 1)
-            exists = (pos < frontier.states.size) & (
-                frontier.states[pos_clipped] == uniq
-            )
-            improves = exists & (cand_scores > frontier.scores[pos_clipped])
-            is_new = ~exists
-            accepted = improves | is_new
-            if not accepted.any():
-                break
-
-            trace_idx = frontier.trace.append_bulk(
-                cand_prev[accepted], cand_word[accepted]
-            )
-            acc_rows = np.nonzero(accepted)[0]
-            imp_in_acc = improves[acc_rows]
-            new_in_acc = is_new[acc_rows]
-            stats.tokens_created += int(np.count_nonzero(new_in_acc))
-            stats.tokens_updated += int(np.count_nonzero(imp_in_acc))
-
-            # In-place update of improved existing tokens ...
-            upd = pos[improves]
-            frontier.scores[upd] = cand_scores[improves]
-            frontier.bps[upd] = trace_idx[imp_in_acc]
-            # ... and sorted insertion of brand-new ones.
-            ins = pos[is_new]
-            frontier.states = np.insert(frontier.states, ins, uniq[is_new])
-            frontier.scores = np.insert(frontier.scores, ins, cand_scores[is_new])
-            frontier.bps = np.insert(frontier.bps, ins, trace_idx[new_in_acc])
-
-            active = (uniq[accepted], cand_scores[accepted], trace_idx)
 
     def finalize(self, frontier: Frontier) -> DecodeResult:
         """Pick the best (preferably final) token and backtrack.
@@ -715,158 +567,228 @@ class SearchKernel:
         )
 
     # ------------------------------------------------------------------
-    # Fused multi-frontier sweep (the continuous-batching fast path)
+    # The recurrence: one sweep over any number of frontiers
     # ------------------------------------------------------------------
-    def fused_step(
-        self, frontiers: List[Frontier], frame_stack: np.ndarray
+    def advance(
+        self, frontiers: Sequence[Frontier], frame_stack: np.ndarray
     ) -> None:
-        """One frame of the recurrence for every frontier, fully fused.
+        """Advance every frontier by one frame: the kernel's entry point.
 
-        Mirrors :meth:`step_frame` stage by stage over the session-major
-        concatenation of all frontiers, keyed by ``session * num_states +
-        state`` so sessions never mix; bit-identical per frontier to
-        stepping each alone.  Callers guarantee non-empty frontiers and
-        uniform score widths; observers are not supported on this path
-        (``advance_sessions`` falls back to solo stepping when attached).
+        ``frame_stack[i]`` is frontier ``i``'s row of acoustic scores, at
+        least :attr:`min_score_width` wide (callers validate).  An empty
+        frontier raises :class:`DecodeError` (the emptied-beam policy).
+        Every stage then runs once over the frontier-major concatenation
+        of all frontiers, keyed by ``i * num_states + state`` so
+        frontiers never mix: each frontier's result is bit-identical to
+        a sweep over that frontier alone, and observer events are cut
+        per observed frontier out of the shared arrays, row indices
+        rebased to it.  Last, each frontier counts the frame and passes
+        its traceback commit point.
         """
-        config = self.config
+        for frontier in frontiers:
+            if frontier.states.size == 0:
+                raise DecodeError(
+                    f"beam emptied the search at frame {frontier.num_frames}"
+                )
         flat = self.flat
         n = len(frontiers)
-        num_states = flat.num_states
-
         counts = np.array([f.states.size for f in frontiers], dtype=np.int64)
-        starts = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(counts)[:-1]]
-        )
-        states = np.concatenate([f.states for f in frontiers])
-        scores = np.concatenate([f.scores for f in frontiers])
-        bps = np.concatenate([f.bps for f in frontiers])
-        seg = np.repeat(np.arange(n, dtype=np.int64), counts)
+        walk = _concat([f.states for f in frontiers])
+        walk_scores = _concat([f.scores for f in frontiers])
+        walk_bps = _concat([f.bps for f in frontiers])
+        walk_seg: Seg = None
+        starts = np.zeros(1, dtype=np.int64)
+        if n > 1:
+            walk_seg = np.repeat(np.arange(n, dtype=np.int64), counts)
+            starts = counts.cumsum() - counts
 
-        # Beam pruning, per session (every count is > 0, checked by the
-        # caller).  Each frontier's strategy supplies its own threshold.
-        best = np.maximum.reduceat(scores, starts)
-        thresholds = np.array(
-            [
-                frontier.pruner.threshold(float(b))
-                for frontier, b in zip(frontiers, best)
-            ],
-            dtype=np.float64,
-        )
-        keep = scores >= thresholds[seg]
-        states, scores, bps, seg = states[keep], scores[keep], bps[keep], seg[keep]
-        kept = np.bincount(seg, minlength=n)
-        for i, frontier in enumerate(frontiers):
-            frontier.stats.tokens_pruned += int(counts[i] - kept[i])
-
-        # Histogram pruning: stable per-session top-cap by score.  The
-        # cap is a config constant, identical across strategies/sessions.
-        cap = config.max_active
-        if cap and (kept > cap).any():
-            order = np.lexsort((-scores, seg))
-            seg_sorted = seg[order]
-            seg_starts = np.searchsorted(seg_sorted, np.arange(n))
-            rank = np.arange(order.size, dtype=np.int64) - seg_starts[seg_sorted]
-            mask = np.zeros(order.size, dtype=bool)
-            mask[order[rank < cap]] = True
-            states, scores = states[mask], scores[mask]
-            bps, seg = bps[mask], seg[mask]
-            capped = np.bincount(seg, minlength=n)
-            for i, frontier in enumerate(frontiers):
-                frontier.stats.tokens_pruned += int(kept[i] - capped[i])
-                frontier.pruner.observe(int(kept[i]))
-            kept = capped
+        # Beam pruning: each frontier's strategy supplies its threshold.
+        thresholds = [
+            f.pruner.threshold(float(best))
+            for f, best in zip(frontiers, np.maximum.reduceat(walk_scores, starts))
+        ]
+        if walk_seg is None:
+            rows = np.flatnonzero(walk_scores >= thresholds[0])
         else:
-            for i, frontier in enumerate(frontiers):
-                frontier.pruner.observe(int(kept[i]))
+            rows = np.flatnonzero(walk_scores >= np.array(thresholds)[walk_seg])
+        kept, row_ends = _blocks(_take(walk_seg, rows), n, rows.size)
 
-        bounds = np.cumsum(kept)[:-1]
-        degrees = flat.out_degree[states]
-        for i, (frontier, deg) in enumerate(zip(frontiers, np.split(degrees, bounds))):
-            frontier.stats.active_tokens_per_frame.append(int(kept[i]))
-            frontier.stats.states_expanded += int(kept[i])
-            frontier.stats.visited_state_degrees.extend(deg.tolist())
+        # Histogram pruning: stable per-frontier top-cap by score, kept
+        # in walk order.  The cap is a config constant, identical across
+        # strategies and frontiers.
+        survivors, cap = kept, self.config.max_active
+        if cap and (kept > cap).any():
+            mask = np.ones(rows.size, dtype=bool)
+            for i in np.flatnonzero(kept > cap):
+                r0 = int(row_ends[i] - kept[i])
+                by_score = np.argsort(
+                    -walk_scores[rows[r0:row_ends[i]]], kind="stable"
+                )
+                mask[by_score[cap:] + r0] = False
+            rows = rows[mask]
+            survivors = np.minimum(kept, cap)
+            row_ends = survivors.cumsum()
 
-        # Fused gather + score accumulation across every session's
+        states, scores, bps = walk[rows], walk_scores[rows], walk_bps[rows]
+        seg = _take(walk_seg, rows)
+        degrees = _split(flat.out_degree[states], row_ends)
+        for i, frontier in enumerate(frontiers):
+            stats = frontier.stats
+            stats.tokens_pruned += int(counts[i] - survivors[i])
+            stats.active_tokens_per_frame.append(int(survivors[i]))
+            stats.states_expanded += int(survivors[i])
+            stats.visited_state_degrees.extend(degrees[i].tolist())
+            frontier.pruner.observe(int(kept[i]))
+
+        # Fused gather + score accumulation across every frontier's
         # surviving states at once (the backend's widest parallel sweep:
-        # its row space spans all sessions).
+        # its row space spans all frontiers).
+        first = flat.first_arc[states]
+        n_arcs = flat.num_non_eps[states]
         arc_idx, src, dest, new_scores = self.backend.expand_fused(
-            flat.first_arc[states], flat.num_non_eps[states], scores, seg,
+            first, n_arcs, scores,
+            np.zeros(states.size, dtype=np.int64) if seg is None else seg,
             flat.arc_dest, flat.arc_weight64, flat.arc_ilabel, frame_stack,
         )
-        arc_seg = seg[src]
-        arc_counts = np.bincount(arc_seg, minlength=n)
-        for frontier, c in zip(frontiers, arc_counts):
-            frontier.stats.arcs_processed += int(c)
-        if arc_idx.size == 0:
-            for frontier in frontiers:
-                _set_empty(frontier)
-            return
-
-        # Segment-max merge on the combined (session, state) key.
-        combined = arc_seg * num_states + dest
-        uniq, winners = self.backend.segment_best(combined, new_scores)
-        win_seg = arc_seg[winners]
-        win_counts = np.bincount(win_seg, minlength=n)
-        win_bounds = np.cumsum(win_counts)[:-1]
-        next_states = uniq - win_seg * num_states
-        next_scores = new_scores[winners]
-        prev = bps[src[winners]]
-        words = flat.arc_olabel[arc_idx[winners]]
-
-        for frontier, st, sc, pv, wd in zip(
-            frontiers,
-            np.split(next_states, win_bounds),
-            np.split(next_scores, win_bounds),
-            np.split(prev, win_bounds),
-            np.split(words, win_bounds),
-        ):
-            if st.size == 0:
-                _set_empty(frontier)
+        arc_seg = _take(seg, src)
+        arc_counts, arc_ends = _blocks(arc_seg, n, arc_idx.size)
+        for i, frontier in enumerate(frontiers):
+            frontier.stats.arcs_processed += int(arc_counts[i])
+            if not frontier.observers:
                 continue
-            frontier.bps = frontier.trace.append_bulk(pv, wd)
-            frontier.stats.tokens_created += st.size
-            frontier.states = st
-            frontier.scores = sc
+            r0, r1 = int(row_ends[i] - survivors[i]), int(row_ends[i])
+            a0, a1 = int(arc_ends[i] - arc_counts[i]), int(arc_ends[i])
+            read_idx = rows[r0:r1] - starts[i]
+            prune = PruneEvent(
+                frame=frontier.num_frames,
+                walk_states=frontier.states,
+                survivor_states=states[r0:r1],
+                survivor_read_idx=read_idx,
+                threshold=thresholds[i],
+                beam_pruned=int(counts[i] - kept[i]),
+                cap_pruned=int(kept[i] - survivors[i]),
+            )
+            expand = ExpandEvent(
+                frame=frontier.num_frames,
+                frame_scores=frame_stack[i],
+                states=states[r0:r1],
+                first=first[r0:r1],
+                n_arcs=n_arcs[r0:r1],
+                read_idx=read_idx,
+                arc_idx=arc_idx[a0:a1],
+                arc_dest=dest[a0:a1],
+                arc_src=src[a0:a1] - r0,
+                arc_scores=new_scores[a0:a1],
+            )
+            for observer in frontier.observers:
+                observer.on_prune(prune)
+            for observer in frontier.observers:
+                observer.on_expand(expand)
 
-        self._fused_closure(frontiers)
+        # Segment-max merge on the combined (frontier, state) key.  A
+        # frontier whose survivors have no non-epsilon arcs empties, and
+        # its next advance raises (the emptied-beam policy).
+        winners = np.empty(0, dtype=np.int64)
+        if arc_idx.size:
+            keys = dest if arc_seg is None else arc_seg * flat.num_states + dest
+            winners = self.backend.segment_best(keys, new_scores)[1]
+        _, win_ends = _blocks(_take(arc_seg, winners), n, winners.size)
+        for frontier, won in zip(frontiers, _split(winners, win_ends)):
+            frontier.bps = frontier.trace.append_bulk(
+                bps[src[won]], flat.arc_olabel[arc_idx[won]]
+            )
+            frontier.stats.tokens_created += won.size
+            frontier.states = dest[won]
+            frontier.scores = new_scores[won]
 
-    def _fused_closure(self, frontiers: List[Frontier]) -> None:
-        """Epsilon closure to fixpoint over every frontier in lockstep rounds."""
+        self._fused_closure(frontiers, [f.num_frames + 1 for f in frontiers])
+        for frontier in frontiers:
+            frontier.num_frames += 1
+            frontier.stats.frames += 1
+            # Committed-prefix commit point: between frames, never
+            # mid-closure; skipped once the beam emptied the frontier.
+            trace = frontier.trace
+            if frontier.states.size and trace.should_commit(frontier.num_frames):
+                frontier.bps = trace.commit(frontier.bps, frontier.num_frames)
+
+    def _fused_closure(
+        self, frontiers: Sequence[Frontier], passes: Sequence[int]
+    ) -> None:
+        """Epsilon closure to fixpoint over every frontier in lockstep rounds.
+
+        ``passes[i]`` is frontier ``i``'s closure pass index for its
+        events: 0 for the initial closure, frame + 1 inside a frame.
+        """
         flat = self.flat
         n = len(frontiers)
         num_states = flat.num_states
+        observed = any(f.observers for f in frontiers)
 
-        # Combined sorted token arrays: session-major concatenation keeps
-        # the (session * num_states + state) keys globally ascending.
-        f_comb = np.concatenate(
-            [f.states + i * num_states for i, f in enumerate(frontiers)]
+        # Combined sorted token arrays: frontier-major concatenation keeps
+        # the (i * num_states + state) keys globally ascending.
+        f_comb = _concat(
+            [f.states + i * num_states if i else f.states
+             for i, f in enumerate(frontiers)]
         )
-        f_scores = np.concatenate([f.scores for f in frontiers])
-        f_bps = np.concatenate([f.bps for f in frontiers])
+        f_scores = _concat([f.scores for f in frontiers])
+        f_bps = _concat([f.bps for f in frontiers])
 
-        act_comb, act_scores, act_bps = f_comb, f_scores, f_bps
-        while act_comb.size:
-            act_seg, act_states = np.divmod(act_comb, num_states)
+        # Tokens whose score improved last round: frontier, state, score, bp.
+        act_seg: Seg = None
+        if n > 1:
+            act_seg = np.repeat(
+                np.arange(n, dtype=np.int64), [f.states.size for f in frontiers]
+            )
+        act_states = _concat([f.states for f in frontiers])
+        act_scores, act_bps = f_scores, f_bps
+        round_index = 0
+        while act_states.size:
+            eps_first = flat.eps_first[act_states]
+            n_eps = flat.num_eps[act_states]
             arc_idx, src, dest, cand = self.backend.expand_closure(
-                flat.eps_first[act_states], flat.num_eps[act_states],
-                act_scores, flat.arc_dest, flat.arc_weight64,
+                eps_first, n_eps, act_scores, flat.arc_dest, flat.arc_weight64
             )
             if arc_idx.size == 0:
                 break
-            arc_seg = act_seg[src]
-            eps_counts = np.bincount(arc_seg, minlength=n)
-            for frontier, c in zip(frontiers, eps_counts):
-                frontier.stats.epsilon_arcs_processed += int(c)
+            arc_seg = _take(act_seg, src)
+            keys = dest if arc_seg is None else arc_seg * num_states + dest
+            eps_counts, arc_ends = _blocks(arc_seg, n, arc_idx.size)
+            act_ends = _blocks(act_seg, n, act_states.size)[1] if observed else ()
+            for i, frontier in enumerate(frontiers):
+                frontier.stats.epsilon_arcs_processed += int(eps_counts[i])
+                if not frontier.observers or not eps_counts[i]:
+                    continue  # unobserved, or this frontier has converged
+                r0, r1 = int(act_ends[i - 1]) if i else 0, int(act_ends[i])
+                a0, a1 = int(arc_ends[i] - eps_counts[i]), int(arc_ends[i])
+                # Per-arc improvement vs the pre-round token scores (the
+                # GPU model's atomic-update semantics).
+                pos = np.searchsorted(f_comb, keys[a0:a1])
+                pos_c = np.minimum(pos, f_comb.size - 1)
+                exists = (pos < f_comb.size) & (f_comb[pos_c] == keys[a0:a1])
+                existing = np.where(exists, f_scores[pos_c], np.float64(LOG_ZERO))
+                event = ClosureEvent(
+                    pass_index=passes[i],
+                    round_index=round_index,
+                    states=act_states[r0:r1],
+                    first=eps_first[r0:r1],
+                    n_arcs=n_eps[r0:r1],
+                    src=None,
+                    arc_idx=arc_idx[a0:a1],
+                    arc_dest=dest[a0:a1],
+                    arc_src=src[a0:a1] - r0,
+                    arc_scores=cand[a0:a1],
+                    improved=cand[a0:a1] > existing,
+                )
+                for observer in frontier.observers:
+                    observer.on_closure(event)
+            round_index += 1
 
-            uniq, winners = self.backend.segment_best(
-                arc_seg * num_states + dest, cand
-            )
+            uniq, winners = self.backend.segment_best(keys, cand)
             cand_scores = cand[winners]
-            cand_prev = act_bps[src[winners]]
-            cand_word = flat.arc_olabel[arc_idx[winners]]
-            cand_seg = arc_seg[winners]
 
+            # Merge candidates into the sorted token arrays: a candidate
+            # wins if its state is new or strictly better (ties keep the
+            # existing token, like the reference discipline).
             pos = np.searchsorted(f_comb, uniq)
             pos_clipped = np.minimum(pos, f_comb.size - 1)
             exists = (pos < f_comb.size) & (f_comb[pos_clipped] == uniq)
@@ -876,51 +798,55 @@ class SearchKernel:
             if not accepted.any():
                 break
 
-            # Trace records go to each session's own trace, in key order.
-            acc_seg = cand_seg[accepted]
-            acc_bounds = np.cumsum(np.bincount(acc_seg, minlength=n))[:-1]
-            trace_idx = np.concatenate(
-                [
-                    frontier.trace.append_bulk(pv, wd)
-                    for frontier, pv, wd in zip(
-                        frontiers,
-                        np.split(cand_prev[accepted], acc_bounds),
-                        np.split(cand_word[accepted], acc_bounds),
-                    )
-                ]
-            )
-            acc_rows = np.nonzero(accepted)[0]
-            imp_in_acc = improves[acc_rows]
-            new_in_acc = is_new[acc_rows]
-            created = np.bincount(acc_seg[new_in_acc], minlength=n)
-            updated = np.bincount(acc_seg[imp_in_acc], minlength=n)
+            # Trace records go to each frontier's own trace, in key order.
+            acc_arcs = winners[accepted]
+            acc_seg = _take(arc_seg, acc_arcs)
+            _, acc_ends = _blocks(acc_seg, n, acc_arcs.size)
+            trace_idx = _concat([
+                frontier.trace.append_bulk(pv, wd)
+                for frontier, pv, wd in zip(
+                    frontiers,
+                    _split(act_bps[src[acc_arcs]], acc_ends),
+                    _split(flat.arc_olabel[arc_idx[acc_arcs]], acc_ends),
+                )
+            ])
+            imp_in_acc = improves[accepted]
+            new_in_acc = is_new[accepted]
+            if acc_seg is None:
+                created = [np.count_nonzero(new_in_acc)]
+                updated = [np.count_nonzero(imp_in_acc)]
+            else:
+                created = np.bincount(acc_seg[new_in_acc], minlength=n)
+                updated = np.bincount(acc_seg[imp_in_acc], minlength=n)
             for i, frontier in enumerate(frontiers):
                 frontier.stats.tokens_created += int(created[i])
                 frontier.stats.tokens_updated += int(updated[i])
 
+            # In-place update of improved existing tokens, then sorted
+            # insertion of brand-new ones.
             upd = pos[improves]
             f_scores[upd] = cand_scores[improves]
             f_bps[upd] = trace_idx[imp_in_acc]
-            ins = pos[is_new]
-            f_comb = np.insert(f_comb, ins, uniq[is_new])
-            f_scores = np.insert(f_scores, ins, cand_scores[is_new])
-            f_bps = np.insert(f_bps, ins, trace_idx[new_in_acc])
+            f_comb, f_scores, f_bps = _sorted_insert(
+                pos[is_new],
+                (f_comb, uniq[is_new]),
+                (f_scores, cand_scores[is_new]),
+                (f_bps, trace_idx[new_in_acc]),
+            )
 
-            act_comb = uniq[accepted]
+            act_seg = acc_seg
+            act_states = dest[acc_arcs]
             act_scores = cand_scores[accepted]
             act_bps = trace_idx
 
-        sizes = np.bincount(f_comb // num_states, minlength=n)
-        bounds = np.cumsum(sizes)[:-1]
-        for i, (frontier, st, sc, bp) in enumerate(
-            zip(
-                frontiers,
-                np.split(f_comb, bounds),
-                np.split(f_scores, bounds),
-                np.split(f_bps, bounds),
-            )
-        ):
-            frontier.states = st - i * num_states
+        ends = _blocks(None if n == 1 else f_comb // num_states, n, f_comb.size)[1]
+        for i, (frontier, st, sc, bp) in enumerate(zip(
+            frontiers,
+            _split(f_comb, ends),
+            _split(f_scores, ends),
+            _split(f_bps, ends),
+        )):
+            frontier.states = st - i * num_states if i else st
             frontier.scores = sc
             frontier.bps = bp
 

@@ -257,10 +257,8 @@ class LatticeDecoder:
         # Forward costs are free: the frontier's token scores at each
         # frame boundary are exactly the best source-to-node path costs.
         boundaries = [(frontier.states.copy(), frontier.scores.copy())]
-        for frame in range(scores.num_frames):
-            kernel.step_frame(frontier, frame, scores.frame(frame))
-            frontier.num_frames += 1
-            frontier.stats.frames += 1
+        for row in scores.matrix:
+            kernel.advance([frontier], row[None])
             boundaries.append((frontier.states.copy(), frontier.scores.copy()))
 
         lat, reached_final = self._build_pruned(

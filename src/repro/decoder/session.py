@@ -17,19 +17,20 @@ first-class :class:`DecodeSession` that can be fed incrementally:
   word for word and bit for bit on the path score, regardless of how the
   frames were chunked (asserted in ``tests/test_decode_session.py``).
 
-:func:`advance_sessions` is the serving fast path: it advances *many*
-sessions one frame each through
-:meth:`repro.decoder.kernel.SearchKernel.fused_step` -- all frontiers
+:func:`advance_sessions` is how every session moves: it advances one
+or many sessions one frame each through the kernel's single entry point,
+:meth:`repro.decoder.kernel.SearchKernel.advance` -- all frontiers
 concatenated session-major, every stage of the recurrence (pruning via
 each session's own strategy state, the bulk arc gather, score
 accumulation, the segment-max merge and the epsilon closure) run once
 over the combined arrays, keyed by ``session * num_states + state`` so
 sessions never mix.  Per-session work drops from ~25 numpy dispatches
 per frame to a handful of cheap splits, which is what lets a
-continuous-batching server beat sequential single-session serving.  The
-fused sweep is bit-identical per session to
-:meth:`DecodeSession.push_frame`, including every
-:class:`SearchStats` counter.
+continuous-batching server beat sequential single-session serving.
+:meth:`DecodeSession.push_frame` is a fleet of one.  Each session's
+result -- words, path score, every :class:`SearchStats` counter and its
+observers' event stream -- is bit-identical whatever fleet it advanced
+in.
 
 The fused sweep's gather/expand/merge array work runs on the decoder's
 configured kernel backend (``DecoderConfig.backend``; see
@@ -49,7 +50,7 @@ import numpy as np
 from repro.common.errors import DecodeError
 from repro.acoustic.scorer import AcousticScores
 from repro.decoder.batch import BatchDecoder
-from repro.decoder.kernel import Frontier
+from repro.decoder.kernel import Frontier, KernelObserver
 from repro.decoder.result import DecodeResult
 
 Chunk = Union[AcousticScores, np.ndarray]
@@ -69,10 +70,6 @@ def chunk_matrix(chunk: Chunk) -> np.ndarray:
     return matrix
 
 
-#: Backwards-compatible alias (pre-tier name).
-_chunk_matrix = chunk_matrix
-
-
 class DecodeSession:
     """One utterance's resumable search state on a shared engine.
 
@@ -82,10 +79,12 @@ class DecodeSession:
     between Acoustic Likelihood Buffer refills.
     """
 
-    def __init__(self, decoder: BatchDecoder) -> None:
+    def __init__(
+        self, decoder: BatchDecoder, observers: Sequence[KernelObserver] = ()
+    ) -> None:
         self._decoder = decoder
         self._kernel = decoder.kernel
-        self._frontier: Frontier = self._kernel.init_frontier()
+        self._frontier: Frontier = self._kernel.init_frontier(observers)
         self._finalized = False
 
     # ------------------------------------------------------------------
@@ -128,21 +127,11 @@ class DecodeSession:
     # ------------------------------------------------------------------
     def push_frame(self, frame_scores: np.ndarray) -> None:
         """Advance the search by one frame of acoustic scores."""
-        self._require_open()
-        row = np.asarray(frame_scores)
-        if row.ndim != 1 or row.shape[0] < self._kernel.min_score_width:
-            raise DecodeError(
-                "frame scores must be a 1-D row with at least "
-                f"{self._kernel.min_score_width} entries (one per phone id "
-                f"on the graph), got shape {row.shape}"
-            )
-        frontier = self._frontier
-        self._kernel.step_frame(frontier, frontier.num_frames, row)
-        self._count_frame()
+        advance_sessions([(self, frame_scores)])
 
     def push(self, chunk: Chunk) -> int:
         """Advance by a chunk of frames; returns the number consumed."""
-        matrix = _chunk_matrix(chunk)
+        matrix = chunk_matrix(chunk)
         for row in matrix:
             self.push_frame(row)
         return len(matrix)
@@ -179,18 +168,6 @@ class DecodeSession:
         if self._finalized:
             raise DecodeError("session is already finalized")
 
-    def _count_frame(self) -> None:
-        frontier = self._frontier
-        frontier.num_frames += 1
-        frontier.stats.frames += 1
-        # Committed-prefix commit point: between frames (never
-        # mid-closure), after solo and fused sweeps alike.  Skipped when
-        # the beam emptied this frame -- there is no live frontier to
-        # converge, and the session is about to raise anyway.
-        trace = frontier.trace
-        if frontier.states.size and trace.should_commit(frontier.num_frames):
-            frontier.bps = trace.commit(frontier.bps, frontier.num_frames)
-
 
 # ----------------------------------------------------------------------
 # Fused multi-session sweep
@@ -198,12 +175,13 @@ class DecodeSession:
 def advance_sessions(
     pairs: Sequence[Tuple[DecodeSession, np.ndarray]],
 ) -> None:
-    """Advance many sessions one frame each in a single fused numpy sweep.
+    """Advance sessions one frame each in a single fused sweep.
 
     ``pairs`` holds ``(session, frame_scores)`` for each session to
     advance; sessions must be distinct, open, and share one decoder (one
-    compiled graph and search config).  The result is bit-identical per
-    session to calling ``session.push_frame(frame_scores)`` one by one.
+    compiled graph and search config), and every row must be 1-D and at
+    least ``min_score_width`` wide.  The result is bit-identical per
+    session to advancing each session alone.
     """
     if not pairs:
         return
@@ -215,36 +193,17 @@ def advance_sessions(
         if session._decoder is not decoder:
             raise DecodeError("fused sweep requires sessions of one decoder")
         session._require_open()
-        frontier = session._frontier
-        if frontier.states.size == 0:
-            raise DecodeError(
-                f"beam emptied the search at frame {frontier.num_frames}"
-            )
-    if len(sessions) == 1:
-        sessions[0].push_frame(pairs[0][1])
-        return
-    if any(session._frontier.observers for session in sessions):
-        # Observers receive per-frontier events the fused sweep does not
-        # construct; advance each session alone instead (same results).
-        for session, row in pairs:
-            session.push_frame(row)
-        return
     rows = [np.asarray(row) for _, row in pairs]
-    shape = rows[0].shape
-    if any(row.shape != shape for row in rows):
-        # Ragged score widths cannot be stacked into one fused sweep;
-        # advance each session alone instead (same results, just not
-        # fused) -- push_frame validates each row.
-        for session, row in zip(sessions, rows):
-            session.push_frame(row)
-        return
-    if len(shape) != 1 or shape[0] < decoder.min_score_width:
-        raise DecodeError(
-            "frame scores must be 1-D rows with at least "
-            f"{decoder.min_score_width} entries (one per phone id on the "
-            f"graph), got shape {shape}"
-        )
-
-    decoder.kernel.fused_step([s._frontier for s in sessions], np.stack(rows))
-    for session in sessions:
-        session._count_frame()
+    width = decoder.min_score_width
+    for row in rows:
+        if row.ndim != 1 or row.shape[0] < width:
+            raise DecodeError(
+                "frame scores must be 1-D rows with at least "
+                f"{width} entries (one per phone id on the graph), "
+                f"got shape {row.shape}"
+            )
+    # Ragged rows stack at the narrowest width: no arc reads a phone
+    # score past ``min_score_width``, so the trim cannot change a result.
+    narrowest = min(row.shape[0] for row in rows)
+    frame_stack = np.stack([row[:narrowest] for row in rows])
+    decoder.kernel.advance([s._frontier for s in sessions], frame_stack)

@@ -112,8 +112,6 @@ class GpuViterbiDecoder:
         if scores.num_frames == 0:
             raise DecodeError("no frames to decode")
         frontier = kernel.init_frontier(observers=(observer,))
-        for frame in range(scores.num_frames):
-            kernel.step_frame(frontier, frame, scores.frame(frame))
-            frontier.num_frames += 1
-            frontier.stats.frames += 1
+        for row in scores.matrix:
+            kernel.advance([frontier], row[None])
         return kernel.finalize(frontier), observer.work

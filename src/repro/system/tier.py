@@ -49,6 +49,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
 import tempfile
@@ -83,6 +84,9 @@ from repro.system.server import (
 )
 from repro.wfst.io import load_graph_mmap, save_graph_mmap
 from repro.wfst.layout import CompiledWfst
+
+#: Longest wait in ``result()`` between looks at the session's record.
+_RESULT_WAIT_S = 0.005
 
 
 def _default_start_method() -> str:
@@ -942,7 +946,7 @@ class ServingTier:
                     raise DecodeError(f"unknown session {session_id}")
                 if session.record is not None:
                     return session.record
-                self._pump(block_worker=session.worker)
+                self._pump()
                 if session.record is not None:
                     return session.record
                 if not session.worker.process.is_alive():
@@ -952,6 +956,13 @@ class ServingTier:
                         + (f" (last error: {session.remote_error})"
                            if session.remote_error else "")
                     )
+                conn = session.worker.conn
+            # Wait with the door lock free so the scoring thread and pushers
+            # are not starved; briefly, as another pump may take the record.
+            try:
+                multiprocessing.connection.wait([conn], _RESULT_WAIT_S)
+            except (OSError, ValueError):
+                time.sleep(_RESULT_WAIT_S)
             if deadline is not None and time.monotonic() > deadline:
                 raise TierError(
                     f"session {session_id} produced no record within "

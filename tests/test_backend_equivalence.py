@@ -272,9 +272,8 @@ def _kernel_events(graph, config, scores):
     kernel = SearchKernel(graph, config)
     recorder = _Recorder()
     frontier = kernel.init_frontier([recorder])
-    for frame, row in enumerate(scores.matrix):
-        kernel.step_frame(frontier, frame, row)
-        frontier.num_frames += 1
+    for row in scores.matrix:
+        kernel.advance([frontier], row[None])
     kernel.finalize(frontier)
     return recorder.events
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.accel.stats import SimStats
-from repro.decoder.kernel import _csr_gather
+from repro.decoder.backends.numpy_backend import csr_gather
 from repro.decoder.result import SearchStats
 from repro.gpu.decoder import GpuWorkload
 from repro.system.experiment import accelerator_configs
@@ -21,14 +21,14 @@ class TestBulkArcGather:
         return small_graph.flat()
 
     def test_empty_state_set(self):
-        arcs, src = _csr_gather(
+        arcs, src = csr_gather(
             np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         )
         assert len(arcs) == 0 and len(src) == 0
 
     def test_counts_match_state_records(self, flat, small_graph):
         states = np.arange(min(20, small_graph.num_states), dtype=np.int64)
-        arcs, src = _csr_gather(
+        arcs, src = csr_gather(
             flat.first_arc[states], flat.num_non_eps[states]
         )
         expected = int(flat.num_non_eps[states].sum())
@@ -37,7 +37,7 @@ class TestBulkArcGather:
 
     def test_arcs_fall_in_state_ranges(self, flat, small_graph):
         states = np.arange(min(20, small_graph.num_states), dtype=np.int64)
-        arcs, src = _csr_gather(
+        arcs, src = csr_gather(
             flat.first_arc[states], flat.num_non_eps[states]
         )
         for a, row in zip(arcs, src):

@@ -160,9 +160,9 @@ class TestEmptyGather:
         empty = np.empty(0, dtype=np.int64)
         arc_idx, src = resolved.csr_gather(empty, empty)
         assert arc_idx.size == 0 and src.size == 0
-        arc_idx, src, dest, cand = resolved.expand_frame(
-            empty, empty, np.empty(0), empty, np.empty(0), empty,
-            np.zeros(3),
+        arc_idx, src, dest, cand = resolved.expand_fused(
+            empty, empty, np.empty(0), empty, empty, np.empty(0), empty,
+            np.zeros((1, 3)),
         )
         assert arc_idx.size == src.size == dest.size == cand.size == 0
         assert cand.dtype == np.float64
