@@ -9,8 +9,14 @@ prefetching -- the Figure 4 / Section IV-A axes) both ways, asserts the
 replayed timing is **cycle-identical** to the monolithic simulator on
 every point, and gates the end-to-end speedup at >= 5x (quick mode: a
 smaller workload, gated at >= 3x for CI-runner noise).
+
+It also reports ``replay_ms_per_point``, the replay cost on its own: the
+grid is replayed serially on already-recorded traces, one timed point
+at a time (schedules shared between points stay memoized, as in a
+sweep), and the median point is reported.  It is tracked, not gated.
 """
 
+import statistics
 import time
 
 from benchmarks.common import (
@@ -21,7 +27,7 @@ from benchmarks.common import (
     sweep_workload,
     write_json,
 )
-from repro.accel import AcceleratorSimulator
+from repro.accel import AcceleratorSimulator, TraceRecorder, TraceReplayer
 from repro.explore import ParameterGrid, SweepRunner, TraceCache, apply_overrides
 
 SPEEDUP_TARGET = 5.0
@@ -69,12 +75,26 @@ def run_sweep_throughput(quick: bool = False) -> dict:
         if point.cycles != cycles
     )
     speedup = independent_seconds / sweep_seconds
+
+    # Replay alone, on freshly recorded traces (no memo from the sweep).
+    recorder = TraceRecorder(
+        workload.graph, beam=workload.beam, max_active=workload.max_active
+    )
+    traces = [recorder.record(s) for s in workload.scores]
+    replay_seconds = []
+    for overrides in points:
+        replayer = TraceReplayer(workload.graph, apply_overrides(base, overrides))
+        t0 = time.perf_counter()
+        for trace in traces:
+            replayer.replay(trace)
+        replay_seconds.append(time.perf_counter() - t0)
     return {
         "quick": quick,
         "points": len(points),
         "independent_seconds": round(independent_seconds, 3),
         "sweep_seconds": round(sweep_seconds, 3),
         "speedup": round(speedup, 2),
+        "replay_ms_per_point": round(1e3 * statistics.median(replay_seconds), 3),
         "target": QUICK_SPEEDUP_TARGET if quick else SPEEDUP_TARGET,
         "cycle_mismatches": mismatches,
         "trace_recordings": result.trace_recordings,
@@ -92,6 +112,7 @@ def _report(payload: dict) -> None:
             ["independent sims (s)", payload["independent_seconds"]],
             ["trace+replay sweep (s)", payload["sweep_seconds"]],
             ["end-to-end speedup (x)", payload["speedup"]],
+            ["replay per point (ms, median)", payload["replay_ms_per_point"]],
             ["gate (x)", payload["target"]],
             ["cycle mismatches", payload["cycle_mismatches"]],
         ],

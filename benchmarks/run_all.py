@@ -20,7 +20,8 @@ against independent simulator runs (cycle-identical, >= 3x).  Results
 land in ``benchmarks/results/quick_summary.json`` (uploaded as a CI
 artifact) plus a normalized ``benchmarks/results/trajectory.json`` --
 one frames/s + speedup (and, for the traceback bench, peak-memory +
-partial-latency) point per bench -- that CI's perf-report step diffs
+partial-latency; for the sweep bench, replay time per point) point per
+bench -- that CI's perf-report step diffs
 against the previous main-branch run; the process exits non-zero on
 any crash or decoder mismatch.
 """
@@ -258,8 +259,9 @@ def _trajectory(summary: dict) -> dict:
     """Normalize the quick-gate step payloads into one perf point.
 
     The shape is deliberately flat and stable -- ``benches.<name>`` holds
-    at most ``frames_per_second``, ``speedup``, and (for the traceback
-    bench) ``peak_trace_kib`` + ``partial_latency_ms`` -- so CI can diff
+    at most ``frames_per_second``, ``speedup``, (for the traceback
+    bench) ``peak_trace_kib`` + ``partial_latency_ms``, and (for the
+    sweep bench) ``replay_ms_per_point`` -- so CI can diff
     today's run against a cached previous run without knowing any
     bench's internals (see ``tools/perf_report.py``, which knows which
     metrics are lower-is-better).
@@ -289,6 +291,10 @@ def _trajectory(summary: dict) -> dict:
         if isinstance(result.get("ipc_bytes_per_frame"), (int, float)):
             entry["ipc_bytes_per_frame"] = round(
                 float(result["ipc_bytes_per_frame"]), 2
+            )
+        if isinstance(result.get("replay_ms_per_point"), (int, float)):
+            entry["replay_ms_per_point"] = round(
+                float(result["replay_ms_per_point"]), 3
             )
         if (isinstance(result.get("windowed_partial_seconds"), (int, float))
                 and result.get("partials")):

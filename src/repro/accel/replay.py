@@ -14,18 +14,24 @@ cycle-identical (and statistics-identical) to
 
 Why it is fast: the replay splits the timing model into
 
-* a **vectorized prologue** -- cache line/set streams for every recorded
-  address, token-record addresses, direct-lookup eligibility and the full
-  hash-table chain behaviour (positions, collisions, overflow points) are
-  computed with numpy per configuration, and the State Issuer's token walk
-  collapses to arithmetic whenever the frame's hash table never spilled to
-  the Overflow Buffer (the common case); and
+* a **prologue** that precomputes everything timing cannot change: the
+  hit/miss schedule of each cache (LRU hits depend only on the order of
+  line accesses, see :func:`lru_schedule`), direct-lookup eligibility and
+  the full hash-table chain behaviour (positions, collisions, overflow
+  points), with the State Issuer's token walk collapsing to arithmetic
+  whenever the frame's hash table never spilled to the Overflow Buffer
+  (the common case); and
 * a **sequential core** that carries only what is genuinely
-  order-dependent -- LRU tag state, the memory controller's in-flight
-  window and the pipeline timestamp recurrences -- in one tight loop.
+  timing-dependent -- cache fill times, the memory controller's in-flight
+  window and the pipeline timestamp recurrences -- in one tight loop.  A
+  miss asks memory for its line; a hit waits for the fill of the miss
+  that brought its line in.
 
-A multi-point design-space sweep then costs one functional search plus one
-cheap replay per configuration; :mod:`repro.explore` builds on this.
+Each prologue product is memoized on the trace under a key naming every
+config parameter it depends on (a cache schedule under the cache's
+``(line_bytes, num_sets, assoc)``), so a multi-point design-space sweep
+costs one functional search, one prologue per distinct geometry and one
+cheap core pass per configuration; :mod:`repro.explore` builds on this.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.common.errors import ConfigError, SimulationError
-from repro.accel.config import AcceleratorConfig
+from repro.accel.config import AcceleratorConfig, CacheConfig
 from repro.accel.hashtable import HASH_MULTIPLIER, OVERFLOW_ENTRY_BYTES
 from repro.accel.simulator import (
     TOKEN_RECORD_BYTES,
@@ -115,87 +121,74 @@ class TraceReplayer:
         ne = len(trace.emit_arc_idx)
         nz = len(trace.eps_arc_idx)
 
-        # Vectorized prologue.  Every product is keyed by the config
-        # parameters it depends on and memoized on the trace, so a sweep
-        # that replays the trace under many configurations pays each
-        # distinct precomputation once (e.g. the state-cache stream is
-        # shared by every point that only varies the arc cache).
+        # Prologue.  Every product is keyed by the config parameters it
+        # depends on and memoized on the trace, so a sweep that replays
+        # the trace under many configurations pays each distinct
+        # precomputation once (e.g. the state-cache schedule is shared by
+        # every point that only varies the arc cache).
         memo = getattr(trace, "_replay_memo", None)
         if memo is None:
             memo = {}
             trace._replay_memo = memo
 
-        # --- address streams -------------------------------------------
+        # --- cache schedules -------------------------------------------
+        # Compact int32 arrays with one entry per emit / epsilon event
+        # (see _schedule): -1 for a miss, the filling miss's ordinal for a
+        # hit, _SKIP for an event that does not use the cache.
         acc, scc, tcc = cfg.arc_cache, cfg.state_cache, cfg.token_cache
-        if acc.perfect:
-            ealine = easet = zaline = zaset = None
-        else:
-            key = ("arc", acc.line_bytes, acc.num_sets)
-            cached = memo.get(key)
-            if cached is None:
-                lines = (self._arcs_base + trace.emit_arc_idx * ARC_BYTES) // acc.line_bytes
-                ealine = lines.tolist()
-                easet = (lines % acc.num_sets).tolist()
-                lines = (self._arcs_base + trace.eps_arc_idx * ARC_BYTES) // acc.line_bytes
-                zaline = lines.tolist()
-                zaset = (lines % acc.num_sets).tolist()
-                memo[key] = (ealine, easet, zaline, zaset)
-            else:
-                ealine, easet, zaline, zaset = cached
-        if scc.perfect:
-            esline = esset = zsline = zsset = None
-        else:
-            key = ("state", scc.line_bytes, scc.num_sets)
-            cached = memo.get(key)
-            if cached is None:
-                lines = (self._states_base + trace.emit_states * STATE_BYTES) // scc.line_bytes
-                esline = lines.tolist()
-                esset = (lines % scc.num_sets).tolist()
-                lines = (self._states_base + trace.eps_states * STATE_BYTES) // scc.line_bytes
-                zsline = lines.tolist()
-                zsset = (lines % scc.num_sets).tolist()
-                memo[key] = (esline, esset, zsline, zsset)
-            else:
-                esline, esset, zsline, zsset = cached
-        n_improve = trace.search.tokens_created + trace.search.tokens_updated
-        if tcc.perfect:
-            tline = tset = None
-        else:
-            key = ("token", tcc.line_bytes, tcc.num_sets)
-            cached = memo.get(key)
-            if cached is None:
-                lines = (
-                    self._tokens_base
-                    + np.arange(n_improve, dtype=np.int64) * TOKEN_RECORD_BYTES
-                ) // tcc.line_bytes
-                tline = lines.tolist()
-                tset = (lines % tcc.num_sets).tolist()
-                memo[key] = (tline, tset)
-            else:
-                tline, tset = cached
-
-        # --- direct-lookup eligibility (Section IV-B) ------------------
-        boundary = self._direct_boundary if self.sorted_graph else 0
-        key = ("direct", boundary)
+        key = ("arc",) + _geometry(acc)
         cached = memo.get(key)
         if cached is None:
-            if boundary > 0:
-                emit_mask = trace.emit_states < boundary
-                eps_mask = trace.eps_states < boundary
-                edirect = emit_mask.tolist()
-                zdirect = eps_mask.tolist()
-                direct_total = int(np.count_nonzero(emit_mask))
-                direct_total += int(np.count_nonzero(eps_mask))
-            else:
-                edirect = [False] * len(trace.emit_states)
-                zdirect = [False] * len(trace.eps_states)
-                direct_total = 0
-            memo[key] = (edirect, zdirect, direct_total)
-        else:
-            edirect, zdirect, direct_total = cached
+            arcs = np.concatenate((trace.emit_arc_idx, trace.eps_arc_idx))
+            order = _program_order(trace.emit_arc_offsets, trace.eps_arc_offsets)
+            cached = _schedule(
+                acc, order, self._arcs_base + arcs[order] * ARC_BYTES, ne, nz,
+            )
+            memo[key] = cached
+        easrc, zasrc, ms_arc = cached
+
+        # A state visit served by the Section IV-B direct lookup skips the
+        # State cache.
+        boundary = self._direct_boundary if self.sorted_graph else 0
+        key = ("state", boundary) + _geometry(scc)
+        cached = memo.get(key)
+        if cached is None:
+            states = np.concatenate((trace.emit_states, trace.eps_states))
+            order = _program_order(
+                trace.emit_offsets, trace.eps_offsets,
+                fetched=states >= boundary,
+            )
+            cached = _schedule(
+                scc, order, self._states_base + states[order] * STATE_BYTES,
+                len(trace.emit_states), len(trace.eps_states),
+            )
+            memo[key] = cached
+        essrc, zssrc, ms_state = cached
+        direct_total = int(np.count_nonzero(essrc == _SKIP))
+        direct_total += int(np.count_nonzero(zssrc == _SKIP))
         fetched_total = (
             len(trace.emit_states) + len(trace.eps_states) - direct_total
         )
+
+        # Every arc whose relaxation wins appends one backpointer record
+        # to the token region, in program order.
+        key = ("token",) + _geometry(tcc)
+        cached = memo.get(key)
+        if cached is None:
+            order = _program_order(
+                trace.emit_arc_offsets, trace.eps_arc_offsets,
+                fetched=np.concatenate(
+                    (trace.emit_improved, trace.eps_improved)
+                ).astype(bool),
+            )
+            records = np.arange(len(order), dtype=np.int64)
+            cached = _schedule(
+                tcc, order, self._tokens_base + records * TOKEN_RECORD_BYTES,
+                ne, nz,
+            )
+            memo[key] = cached
+        etsrc, ztsrc, ms_token = cached
+        n_improve = trace.search.tokens_created + trace.search.tokens_updated
 
         # --- traceback-buffer commit schedule --------------------------
         # Windowed-traceback pricing (the design axis of
@@ -254,30 +247,26 @@ class TraceReplayer:
                 trace.read_offsets.tolist(),
                 trace.emit_n.tolist(),
                 trace.emit_read_idx.tolist(),
-                trace.emit_improved.tolist(),
                 trace.eps_n.tolist(),
                 trace.eps_src.tolist(),
-                trace.eps_improved.tolist(),
             )
             memo["payload"] = cached
         (
             emit_offsets, eps_offsets, read_offsets,
-            en, eridx, eimp, zn, zsrc, zimp,
+            en, eridx, zn, zsrc,
         ) = cached
 
         # --- sequential core -------------------------------------------
-        aperfect, sperfect, tperfect = acc.perfect, scc.perfect, tcc.perfect
-        a_assoc, s_assoc, t_assoc = acc.assoc, scc.assoc, tcc.assoc
-        a_line, s_line, t_line = acc.line_bytes, scc.line_bytes, tcc.line_bytes
-        arc_sets: List[dict] = (
-            [] if aperfect else [dict() for _ in range(acc.num_sets)]
-        )
-        state_sets: List[dict] = (
-            [] if sperfect else [dict() for _ in range(scc.num_sets)]
-        )
-        token_sets: List[dict] = (
-            [] if tperfect else [dict() for _ in range(tcc.num_sets)]
-        )
+        # Per-access schedules: a miss (-1) asks memory for the line and
+        # appends its fill time; a hit waits for the fill of the miss that
+        # brought its line in.  A perfect cache hits a line filled at
+        # cycle 0 on every access.
+        easrc, zasrc = easrc.tolist(), zasrc.tolist()
+        essrc, zssrc = essrc.tolist(), zssrc.tolist()
+        etsrc, ztsrc = etsrc.tolist(), ztsrc.tolist()
+        afills: List[int] = [0] if acc.perfect else []
+        sfills: List[int] = [0] if scc.perfect else []
+        tfills: List[int] = [0] if tcc.perfect else []
         hperfect = cfg.hash_table.perfect
         backup_entries = cfg.hash_table.backup_entries
 
@@ -295,10 +284,8 @@ class TraceReplayer:
         neg_inf = -(1 << 60)
         recent: List[int] = [neg_inf] * mi
         rpos = 0
-        ms_state = ms_arc = ms_token = wb_token = 0
-        r_states = r_arcs = r_tokens = r_overflow = w_tokens = 0
+        r_overflow = 0
         hash_extra_cycles = 0
-        jimp = 0  # global improvement (backpointer write) counter
         ek = 0    # global emit-arc cursor
         pk = 0    # global epsilon-arc cursor
 
@@ -319,10 +306,7 @@ class TraceReplayer:
             # returns 0 until the window fills and completion times are
             # never negative, so a pre-filled ring is indistinguishable
             # from the growing deque while avoiding length checks.
-            nonlocal ek, jimp, rpos
-            nonlocal ms_state, ms_arc, ms_token, wb_token
-            nonlocal r_states, r_arcs, r_tokens, r_overflow, w_tokens
-            nonlocal hash_extra_cycles
+            nonlocal ek, rpos, r_overflow, hash_extra_cycles
             s0 = emit_offsets[frame]
             s1 = emit_offsets[frame + 1]
             proc_time = cycle
@@ -341,28 +325,18 @@ class TraceReplayer:
                     t = read_done.get(ridx, fb + ridx + 1)
                 if t < cycle:
                     t = cycle
-                if edirect[i]:
+                src = essrc[i]
+                if src == _SKIP:
                     state_done = t + 1
                 else:
                     g = sw[sw_pos]
                     start = t if t > g else g
-                    if sperfect:
-                        state_done = start + 1
+                    if src < 0:
+                        state_done = mem_req(start)
+                        sfills.append(state_done)
                     else:
-                        line = esline[i]
-                        ways = state_sets[esset[i]]
-                        ft = ways.pop(line, None)
-                        if ft is not None:
-                            ways[line] = ft
-                            state_done = start + 1 if start + 1 > ft else ft
-                        else:
-                            ms_state += 1
-                            if len(ways) >= s_assoc:
-                                del ways[next(iter(ways))]
-                            r_states += s_line
-                            ft = mem_req(start)
-                            ways[line] = ft
-                            state_done = ft
+                        ft = sfills[src]
+                        state_done = start + 1 if start + 1 > ft else ft
                     sw[sw_pos] = state_done
                     sw_pos += 1
                     if sw_pos == sw_depth:
@@ -373,30 +347,20 @@ class TraceReplayer:
                     if arc_gate_last >= req:
                         req = arc_gate_last + 1
                     arc_gate_last = req
-                    if aperfect:
-                        arc_data = req + 1
+                    src = easrc[k]
+                    if src < 0:
+                        # Inlined mem_req (hottest miss path).
+                        oldest = recent[rpos]
+                        issue = req if oldest + lat <= req else oldest + lat
+                        recent[rpos] = issue
+                        rpos += 1
+                        if rpos == mi:
+                            rpos = 0
+                        arc_data = issue + lat
+                        afills.append(arc_data)
                     else:
-                        line = ealine[k]
-                        ways = arc_sets[easet[k]]
-                        ft = ways.pop(line, None)
-                        if ft is not None:
-                            ways[line] = ft
-                            arc_data = req + 1 if req + 1 > ft else ft
-                        else:
-                            ms_arc += 1
-                            if len(ways) >= a_assoc:
-                                del ways[next(iter(ways))]
-                            r_arcs += a_line
-                            # Inlined mem_req (hottest miss path).
-                            oldest = recent[rpos]
-                            issue = req if oldest + lat <= req else oldest + lat
-                            recent[rpos] = issue
-                            rpos += 1
-                            if rpos == mi:
-                                rpos = 0
-                            ft = issue + lat
-                            ways[line] = ft
-                            arc_data = ft
+                        ft = afills[src]
+                        arc_data = req + 1 if req + 1 > ft else ft
                     aw[aw_pos] = arc_data
                     aw_pos += 1
                     if aw_pos == aw_depth:
@@ -413,29 +377,16 @@ class TraceReplayer:
                         done = mem_req(hs)
                         hash_extra_cycles += done - hs
                         hash_ready = done
-                    if eimp[k]:
+                    src = etsrc[k]
+                    if src != _SKIP:
                         g = tw[tw_pos]
                         wslot = hash_ready if hash_ready > g else g
-                        if tperfect:
-                            tdone = wslot + 1
+                        if src < 0:
+                            tdone = mem_req(wslot)
+                            tfills.append(tdone)
                         else:
-                            line = tline[jimp]
-                            ways = token_sets[tset[jimp]]
-                            ft = ways.pop(line, None)
-                            if ft is not None:
-                                ways[line] = ft
-                                tdone = wslot + 1 if wslot + 1 > ft else ft
-                            else:
-                                ms_token += 1
-                                if len(ways) >= t_assoc:
-                                    del ways[next(iter(ways))]
-                                    wb_token += 1
-                                    w_tokens += t_line
-                                r_tokens += t_line
-                                ft = mem_req(wslot)
-                                ways[line] = ft
-                                tdone = ft
-                        jimp += 1
+                            ft = tfills[src]
+                            tdone = wslot + 1 if wslot + 1 > ft else ft
                         tw[tw_pos] = tdone
                         tw_pos += 1
                         if tw_pos == tw_depth:
@@ -453,10 +404,7 @@ class TraceReplayer:
             return end
 
         def run_eps(p: int, cycle: int) -> int:
-            nonlocal pk, jimp
-            nonlocal ms_state, ms_arc, ms_token, wb_token
-            nonlocal r_states, r_arcs, r_tokens, r_overflow, w_tokens
-            nonlocal hash_extra_cycles
+            nonlocal pk, r_overflow, hash_extra_cycles
             e0 = eps_offsets[p]
             e1 = eps_offsets[p + 1]
             proc_time = cycle
@@ -474,28 +422,18 @@ class TraceReplayer:
                 avail = cycle if src < 0 else arc_avail[src]
                 slot = avail if avail > issue_last else issue_last + 1
                 issue_last = slot
-                if zdirect[i]:
+                src = zssrc[i]
+                if src == _SKIP:
                     state_done = slot + 1
                 else:
                     g = sw[sw_pos]
                     start = slot if slot > g else g
-                    if sperfect:
-                        state_done = start + 1
+                    if src < 0:
+                        state_done = mem_req(start)
+                        sfills.append(state_done)
                     else:
-                        line = zsline[i]
-                        ways = state_sets[zsset[i]]
-                        ft = ways.pop(line, None)
-                        if ft is not None:
-                            ways[line] = ft
-                            state_done = start + 1 if start + 1 > ft else ft
-                        else:
-                            ms_state += 1
-                            if len(ways) >= s_assoc:
-                                del ways[next(iter(ways))]
-                            r_states += s_line
-                            ft = mem_req(start)
-                            ways[line] = ft
-                            state_done = ft
+                        ft = sfills[src]
+                        state_done = start + 1 if start + 1 > ft else ft
                     sw[sw_pos] = state_done
                     sw_pos += 1
                     if sw_pos == sw_depth:
@@ -506,23 +444,13 @@ class TraceReplayer:
                     if arc_gate_last >= req:
                         req = arc_gate_last + 1
                     arc_gate_last = req
-                    if aperfect:
-                        arc_data = req + 1
+                    src = zasrc[k]
+                    if src < 0:
+                        arc_data = mem_req(req)
+                        afills.append(arc_data)
                     else:
-                        line = zaline[k]
-                        ways = arc_sets[zaset[k]]
-                        ft = ways.pop(line, None)
-                        if ft is not None:
-                            ways[line] = ft
-                            arc_data = req + 1 if req + 1 > ft else ft
-                        else:
-                            ms_arc += 1
-                            if len(ways) >= a_assoc:
-                                del ways[next(iter(ways))]
-                            r_arcs += a_line
-                            ft = mem_req(req)
-                            ways[line] = ft
-                            arc_data = ft
+                        ft = afills[src]
+                        arc_data = req + 1 if req + 1 > ft else ft
                     aw[aw_pos] = arc_data
                     aw_pos += 1
                     if aw_pos == aw_depth:
@@ -540,29 +468,16 @@ class TraceReplayer:
                         done = mem_req(hs)
                         hash_extra_cycles += done - hs
                         hash_ready = done
-                    if zimp[k]:
+                    src = ztsrc[k]
+                    if src != _SKIP:
                         g = tw[tw_pos]
                         wslot = hash_ready if hash_ready > g else g
-                        if tperfect:
-                            tdone = wslot + 1
+                        if src < 0:
+                            tdone = mem_req(wslot)
+                            tfills.append(tdone)
                         else:
-                            line = tline[jimp]
-                            ways = token_sets[tset[jimp]]
-                            ft = ways.pop(line, None)
-                            if ft is not None:
-                                ways[line] = ft
-                                tdone = wslot + 1 if wslot + 1 > ft else ft
-                            else:
-                                ms_token += 1
-                                if len(ways) >= t_assoc:
-                                    del ways[next(iter(ways))]
-                                    wb_token += 1
-                                    w_tokens += t_line
-                                r_tokens += t_line
-                                ft = mem_req(wslot)
-                                ways[line] = ft
-                                tdone = ft
-                        jimp += 1
+                            ft = tfills[src]
+                            tdone = wslot + 1 if wslot + 1 > ft else ft
                         tw[tw_pos] = tdone
                         tw_pos += 1
                         if tw_pos == tw_depth:
@@ -621,14 +536,6 @@ class TraceReplayer:
                     tb_retained = retained
             frame_cycles.append(cycle - fb)
 
-        # Flush of dirty token-record lines (CPU reads them to backtrack).
-        if not tperfect:
-            for ways in token_sets:
-                n = len(ways)
-                if n:
-                    wb_token += n
-                    w_tokens += n * t_line
-
         # --- assemble statistics ---------------------------------------
         stats = SimStats(frames=F)
         stats.cycles = cycle
@@ -649,20 +556,25 @@ class TraceReplayer:
         stats.arc_cache.misses = ms_arc
         stats.token_cache.accesses = n_improve
         stats.token_cache.misses = ms_token
-        stats.token_cache.writebacks = wb_token
+        # Every token access is a backpointer write, so each allocated
+        # line is dirty and written back exactly once: on eviction or by
+        # the end-of-decode flush (the CPU reads the records to backtrack).
+        stats.token_cache.writebacks = ms_token
         stats.hash.requests = ne + nz
         stats.hash.total_cycles = hash_base_cycles + hash_extra_cycles
         stats.hash.collisions = hash_collisions
         stats.hash.overflows = hash_overflows
         for region, nbytes in (
-            ("states", r_states), ("arcs", r_arcs),
-            ("tokens", r_tokens), ("overflow", r_overflow),
+            ("states", ms_state * scc.line_bytes),
+            ("arcs", ms_arc * acc.line_bytes),
+            ("tokens", ms_token * tcc.line_bytes),
+            ("overflow", r_overflow),
             ("traceback", r_traceback),
         ):
             if nbytes:
                 stats.traffic.add(region, nbytes, write=False)
-        if w_tokens:
-            stats.traffic.add("tokens", w_tokens, write=True)
+        if ms_token:
+            stats.traffic.add("tokens", ms_token * tcc.line_bytes, write=True)
         if w_traceback:
             stats.traffic.add("traceback", w_traceback, write=True)
 
@@ -766,6 +678,117 @@ class TraceReplayer:
             ehc.tolist(), zhc.tolist(), end_backup, posmaps,
             collisions, overflows, base_cycles,
         )
+
+
+#: Schedule entry of an event that does not use the cache: a state visit
+#: served by the Section IV-B direct lookup, or an arc whose relaxation
+#: lost and writes no backpointer.
+_SKIP = -2
+
+
+def lru_schedule(lines: np.ndarray, num_sets: int, assoc: int) -> np.ndarray:
+    """Hit/miss schedule of an LRU set-associative cache.
+
+    ``lines`` is the cache's line-id stream in access order.  LRU is a
+    stack algorithm: whether an access hits depends only on the order of
+    line accesses (Mattson et al., 1970), and
+    :class:`~repro.accel.cache.Cache` updates its tags at request time,
+    so fill times decide only *when* a hit's data is ready, never
+    *whether* it hits.  The tag store can therefore run once per cache
+    geometry, ahead of any timing.
+
+    Returns one ``int32`` per access: ``-1`` for a miss, otherwise the
+    ordinal (among the stream's misses, from 0) of the miss that filled
+    the line the access hits.
+    """
+    n = len(lines)
+    if n == 0:
+        return np.empty(0, dtype=np.int32)
+    # Repeating the previous access's line hits the most recently used
+    # way and leaves the LRU order as it is: only run heads walk the tags.
+    head = np.empty(n, dtype=bool)
+    head[0] = True
+    np.not_equal(lines[1:], lines[:-1], out=head[1:])
+    run_lines = lines[head]
+    tags: List[Dict[int, int]] = [{} for _ in range(num_sets)]
+    run_src: List[int] = []
+    append = run_src.append
+    misses = 0
+    for line, s in zip(run_lines.tolist(), (run_lines % num_sets).tolist()):
+        ways = tags[s]
+        src = ways.pop(line, -1)
+        if src < 0:
+            if len(ways) >= assoc:
+                del ways[next(iter(ways))]
+            ways[line] = misses
+            misses += 1
+        else:
+            ways[line] = src
+        append(src)
+    fill = np.array(run_src, dtype=np.int32)
+    run_miss = fill < 0
+    fill[run_miss] = np.arange(misses, dtype=np.int32)
+    out = fill[np.cumsum(head) - 1]
+    out[np.flatnonzero(head)[run_miss]] = -1
+    return out
+
+
+def _geometry(cache: CacheConfig) -> Tuple:
+    """The memo-key part naming everything a cache schedule depends on."""
+    if cache.perfect:
+        return ("perfect",)
+    return (cache.line_bytes, cache.num_sets, cache.assoc)
+
+
+def _program_order(
+    emit_offsets: np.ndarray,
+    eps_offsets: np.ndarray,
+    fetched: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Indices of the events a cache sees, in the order it sees them.
+
+    Events are numbered emit events first, then epsilon events, each
+    grouped by their CSR offsets.  The pipeline runs epsilon pass 0, then
+    per frame ``f`` its emit events followed by epsilon pass ``f + 1``.
+    ``fetched`` (one flag per event) keeps only the events that reach the
+    cache.
+    """
+    frames = len(emit_offsets) - 1
+    group = np.concatenate((
+        np.repeat(np.arange(1, 2 * frames + 1, 2), np.diff(emit_offsets)),
+        np.repeat(np.arange(0, 2 * frames + 2, 2), np.diff(eps_offsets)),
+    ))
+    order = np.argsort(group, kind="stable")
+    if fetched is not None:
+        order = order[fetched[order]]
+    return order
+
+
+def _schedule(
+    cache: CacheConfig,
+    order: np.ndarray,
+    addrs: np.ndarray,
+    n_emit: int,
+    n_eps: int,
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """A cache's schedule over ``n_emit`` emit and ``n_eps`` epsilon events.
+
+    Event ``order[j]`` accesses byte address ``addrs[j]``; events missing
+    from ``order`` are marked :data:`_SKIP`.  A perfect cache hits, on
+    every access, a line of fill ordinal 0 that the replay fills at cycle
+    0.  Returns the emit and epsilon parts and the miss count.
+    """
+    src = np.full(n_emit + n_eps, _SKIP, dtype=np.int32)
+    if cache.perfect:
+        src[order] = 0
+        misses = 0
+    else:
+        lru = lru_schedule(
+            addrs // cache.line_bytes, cache.num_sets, cache.assoc
+        )
+        src[order] = lru
+        misses = int(np.count_nonzero(lru < 0))
+    return src[:n_emit], src[n_emit:], misses
 
 
 def _copy_search(search: SearchStats) -> SearchStats:

@@ -616,13 +616,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
           f"({result.trace_recordings} trace(s) recorded, "
           f"{result.trace_cache_hits} cache hit(s), "
           f"{result.processes} process(es))")
-    header = (f"{'point':40s} {'cycles':>12s} {'decode s/s':>11s} "
+    width = max([len("point")] + [len(p.label) for p in result.points])
+    header = (f"{'point':{width}s} {'cycles':>12s} {'decode s/s':>11s} "
               f"{'arc miss':>9s} {'hash c/r':>9s} {'power mW':>9s} "
               f"{'energy mJ':>10s}")
     print(header)
     print("-" * len(header))
     for p in result.points:
-        print(f"{p.label[:40]:40s} {p.cycles:12d} "
+        print(f"{p.label:{width}s} {p.cycles:12d} "
               f"{p.decode_s_per_speech_s:11.5f} "
               f"{100 * p.stats.arc_cache.miss_ratio:8.1f}% "
               f"{p.stats.hash.avg_cycles_per_request:9.2f} "

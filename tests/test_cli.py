@@ -166,6 +166,27 @@ class TestCommands:
         assert "vs GPU" in out
 
 
+    def test_sweep_prints_full_distinct_labels(self, capsys):
+        """Multi-axis labels run past 40 characters; every row keeps its
+        whole label so the rows stay distinguishable."""
+        code = main(["sweep", "--states", "2000", "--frames", "4",
+                     "--max-active", "200", "--seed", "3",
+                     "--param", "arc_cache.size_bytes=128K,512K",
+                     "--param", "prefetch_enabled=false,true",
+                     "--processes", "1", "--trace-cache", "none",
+                     "--graph-cache", "none"])
+        assert code == 0
+        out = capsys.readouterr().out.splitlines()
+        rows = out[out.index(next(ln for ln in out if ln.startswith("---")))
+                   + 1:]
+        labels = [f"arc_cache.size_bytes={size} prefetch_enabled={flag}"
+                  for size in ("128K", "512K") for flag in ("off", "on")]
+        assert max(len(label) for label in labels) > 40
+        assert len(rows) == len(labels)
+        for row, label in zip(rows, labels):
+            assert row.startswith(label + " ")
+
+
 class TestCompile:
     def test_compile_composed_prints_pass_report(self, capsys, tmp_path):
         code = main(["compile", "--vocab", "40", "--corpus-sentences",

@@ -89,11 +89,43 @@ class TestBuildReport:
         assert not warnings
         assert any("+50.0%" in l for l in lines)
 
+    def test_replay_time_regresses_by_rising(self):
+        baseline = {"sweep_throughput_quick": {"replay_ms_per_point": 50.0}}
+        lines, warnings = perf_report.build_report(
+            {"sweep_throughput_quick": {"replay_ms_per_point": 70.0}},
+            baseline, 0.2,
+        )
+        assert len(warnings) == 1
+        assert "replay_ms_per_point regressed +40.0%" in warnings[0]
+        assert any("| replay_ms_per_point |" in l for l in lines)
+        _, warnings = perf_report.build_report(
+            {"sweep_throughput_quick": {"replay_ms_per_point": 25.0}},
+            baseline, 0.2,
+        )
+        assert not warnings
+
     def test_bench_only_in_baseline_still_listed(self):
         lines, _ = perf_report.build_report(
             {}, {"gone": {"frames_per_second": 50.0}}, 0.2
         )
         assert any("| gone |" in l for l in lines)
+
+
+class TestTrajectory:
+    def test_sweep_replay_time_is_carried(self):
+        spec = importlib.util.spec_from_file_location(
+            "run_all", REPO_ROOT / "benchmarks" / "run_all.py"
+        )
+        run_all = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run_all)
+        summary = {"steps": {"sweep_throughput_quick": {"result": {
+            "speedup": 9.1, "replay_ms_per_point": 12.34567,
+            "cycle_mismatches": 0,
+        }}}}
+        benches = run_all._trajectory(summary)["benches"]
+        assert benches == {"sweep_throughput_quick": {
+            "speedup": 9.1, "replay_ms_per_point": 12.346,
+        }}
 
 
 class TestPerfReportMain:

@@ -12,6 +12,8 @@ shallow prefetch windows, perfect components and the Section IV-B sorted
 layout at several comparator counts.
 """
 
+import copy
+import random
 from dataclasses import replace
 
 import pytest
@@ -238,3 +240,51 @@ class TestTraceContract:
 
         with pytest.raises(SimulationError):
             DecodeTrace.load(path)
+
+
+class TestReplayMemo:
+    """Replays of one trace share memoized schedules keyed by cache
+    geometry; equal keys must mean equal schedules (REP003)."""
+
+    def test_memo_is_sound_across_shared_and_distinct_geometries(
+        self, workload
+    ):
+        # Same num_sets and line size, different associativity.
+        two_way = CacheConfig(8 * 1024, 2)
+        four_way = CacheConfig(16 * 1024, 4)
+        assert two_way.num_sets == four_way.num_sets
+        configs = [
+            BASE,
+            BASE.with_prefetch(),
+            replace(BASE, arc_cache=two_way),
+            replace(BASE, arc_cache=four_way),
+            replace(BASE, arc_cache=four_way, state_cache=two_way),
+            replace(BASE, state_cache=four_way, mem_latency_cycles=90),
+            # Same num_sets and associativity, different line size.
+            replace(BASE, token_cache=CacheConfig(2 * 1024, 2)),
+            replace(BASE, token_cache=CacheConfig(1024, 2, line_bytes=32)),
+            replace(BASE, arc_cache=replace(two_way, perfect=True)),
+            replace(BASE, hash_table=HashConfig(num_entries=32,
+                                                backup_entries=4)),
+        ]
+        sorted_graph = workload.sorted_graph
+        recorder = TraceRecorder(
+            sorted_graph.graph, beam=workload.beam,
+            max_active=workload.max_active,
+        )
+        pristine = recorder.record(workload.scores[0])
+        # The sorted layout's trace replays with and without the direct
+        # lookup: the same geometry under two state-cache boundaries.
+        replayers = [TraceReplayer(sorted_graph.graph, c) for c in configs]
+        replayers += [
+            TraceReplayer(workload.graph, replace(c, state_direct_enabled=True),
+                          sorted_graph=sorted_graph)
+            for c in configs[:5]
+        ]
+        expected = [r.replay(copy.copy(pristine)) for r in replayers]
+
+        shared = copy.copy(pristine)
+        order = list(range(len(replayers))) * 2
+        random.Random(13).shuffle(order)
+        for i in order:
+            assert_results_identical(expected[i], replayers[i].replay(shared))

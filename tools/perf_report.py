@@ -8,10 +8,11 @@ markdown table to ``$GITHUB_STEP_SUMMARY`` (stdout otherwise, so the
 tool is just as useful locally).
 
 Regressions beyond ``--threshold`` (default 20%) on any tracked metric
-(frames/s and speedup regress by falling; peak trace memory and
-partial latency by rising) emit a ``::warning::`` annotation but do **not**
-fail the job: the smoke gate's own per-bench floors are the hard line,
-this report only tracks the trajectory between commits.  No baseline
+(frames/s and speedup regress by falling; peak trace memory, partial
+latency, IPC bytes and sweep replay time by rising) emit a
+``::warning::`` annotation but do **not** fail the job: the smoke
+gate's own per-bench floors are the hard line, this report only tracks
+the trajectory between commits.  No baseline
 (first run, expired cache) renders the current numbers alone and exits
 zero.
 
@@ -30,12 +31,14 @@ import sys
 
 #: Metrics tracked per bench, in table order.
 METRICS = ("frames_per_second", "speedup", "peak_trace_kib",
-           "partial_latency_ms", "ipc_bytes_per_frame")
+           "partial_latency_ms", "ipc_bytes_per_frame",
+           "replay_ms_per_point")
 
 #: Metrics where a *rise* is the regression (memory footprints,
-#: latencies, transport cost); everything else regresses by falling.
+#: latencies, transport cost, replay time); everything else regresses
+#: by falling.
 LOWER_IS_BETTER = frozenset({"peak_trace_kib", "partial_latency_ms",
-                             "ipc_bytes_per_frame"})
+                             "ipc_bytes_per_frame", "replay_ms_per_point"})
 
 
 def load_trajectory(path: str) -> dict:
